@@ -19,11 +19,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DomainError, InvariantViolation
 
 MERGE_TOL = 1e-9
 WEIGHT_TOL = 1e-12
+# below this many point-atom pairs, testing every pair beats building k-d trees
+_ALL_PAIRS_MAX = 1024
 
 
 def as_points(points) -> np.ndarray:
@@ -45,29 +48,65 @@ def find_atom(support: np.ndarray, point: np.ndarray) -> int:
     return int(hits[0]) if hits.size else -1
 
 
+def match_atoms(support: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Lowest index of a ``support`` atom within MERGE_TOL of each row of ``points``, or -1.
+
+    Candidate pairs are all pairs for small inputs, and otherwise the pairs a
+    k-d tree finds within twice the tolerance; each candidate is decided by
+    the same norm test as ``find_atom``.
+    """
+    support, points = np.asarray(support, dtype=float), np.asarray(points, dtype=float)
+    n = len(support)
+    first = np.full(len(points), n)
+    if len(points) * n <= _ALL_PAIRS_MAX:
+        qi, sj = np.divmod(np.arange(len(points) * n), n)
+    else:
+        pairs = cKDTree(points).sparse_distance_matrix(
+            cKDTree(support), 2 * MERGE_TOL, output_type="ndarray"
+        )
+        qi, sj = pairs["i"], pairs["j"]
+    hit = np.linalg.norm(support[sj] - points[qi], axis=1) <= MERGE_TOL
+    np.minimum.at(first, qi[hit], sj[hit])
+    first[first == n] = -1
+    return first
+
+
 def atom_indices(support: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Map each row of ``points`` to its index in ``support``; raise if any is missing."""
-    idx = np.empty(len(points), dtype=int)
-    for i, x in enumerate(points):
-        j = find_atom(support, x)
-        if j < 0:
-            raise DomainError(f"point {x} is not an atom of the given support")
-        idx[i] = j
+    idx = match_atoms(support, points)
+    missing = np.flatnonzero(idx < 0)
+    if missing.size:
+        raise DomainError(f"point {points[missing[0]]} is not an atom of the given support")
     return idx
+
+
+def _representatives(points: np.ndarray) -> np.ndarray:
+    """Greedy first-seen merging: the index of each point's representative.
+
+    Scanning in order, a point joins the lowest-index earlier representative
+    within MERGE_TOL, or becomes a representative itself.
+    """
+    first = match_atoms(points, points)
+    rep = first.copy()
+    # a point with no earlier neighbour is a representative, so a point whose
+    # lowest neighbour is such a point joins it; only chains of atoms each
+    # within tolerance of the next are left to resolve in order
+    for i in np.flatnonzero(first[first] != first):
+        reps = np.flatnonzero(rep[:i] == np.arange(i))
+        j = find_atom(points[reps], points[i])
+        rep[i] = reps[j] if j >= 0 else i
+    return rep
 
 
 def merge_points(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum weights of coincident atoms, keeping first-seen order and coordinates."""
-    reps: list[np.ndarray] = []
-    acc: list[float] = []
-    for x, w in zip(points, weights):
-        j = find_atom(np.asarray(reps) if reps else np.empty((0, points.shape[1])), x)
-        if j < 0:
-            reps.append(x)
-            acc.append(float(w))
-        else:
-            acc[j] += float(w)
-    return np.asarray(reps), np.asarray(acc)
+    rep = _representatives(points)
+    keep = np.flatnonzero(rep == np.arange(len(points)))
+    slot = np.empty(len(points), dtype=int)
+    slot[keep] = np.arange(len(keep))
+    acc = np.zeros(len(keep))
+    np.add.at(acc, slot[rep], weights)
+    return points[keep], acc
 
 
 @dataclass(frozen=True)
@@ -95,10 +134,8 @@ class FiniteDistribution:
             raise DomainError("distribution needs at least one atom of positive mass")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise InvariantViolation(f"weights sum to {w.sum()!r}, not 1")
-        for i in range(len(pts)):
-            d = np.linalg.norm(pts[i + 1:] - pts[i][None, :], axis=1)
-            if np.any(d <= MERGE_TOL):
-                raise InvariantViolation("support atoms are not pairwise distinct")
+        if np.any(match_atoms(pts, pts) != np.arange(len(pts))):
+            raise InvariantViolation("support atoms are not pairwise distinct")
         pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -121,6 +158,8 @@ class FiniteDistribution:
         """Build a distribution, merging coincident atoms and dropping zero weights."""
         pts = as_points(points)
         w = np.asarray(weights, dtype=float)
+        if w.shape != (len(pts),):
+            raise DomainError("weights must be a vector aligned with the support")
         if merge:
             pts, w = merge_points(pts, w)
         return cls(pts, w)
@@ -142,12 +181,11 @@ class FiniteDistribution:
 
     def weights_on(self, support: np.ndarray) -> np.ndarray:
         """Weight vector aligned with ``support``; raises if an atom falls outside it."""
+        idx = match_atoms(support, self.points)
+        if np.any(idx < 0):
+            raise DomainError("distribution atom missing from the requested support")
         out = np.zeros(len(support))
-        for x, w in zip(self.points, self.weights):
-            j = find_atom(support, x)
-            if j < 0:
-                raise DomainError("distribution atom missing from the requested support")
-            out[j] += w
+        np.add.at(out, idx, self.weights)
         return out
 
 
@@ -184,13 +222,8 @@ def expectation(P: FiniteDistribution, D: Witness) -> float:
 
 def merge_supports(*supports: np.ndarray) -> np.ndarray:
     """Union of supports with coincident atoms identified, first-seen order."""
-    reps: list[np.ndarray] = []
-    for s in supports:
-        s = as_points(s)
-        for x in s:
-            if not reps or find_atom(np.asarray(reps), x) < 0:
-                reps.append(x)
-    return np.asarray(reps)
+    points = np.concatenate([as_points(s) for s in supports])
+    return points[_representatives(points) == np.arange(len(points))]
 
 
 def aligned_weights(P: FiniteDistribution, Q: FiniteDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

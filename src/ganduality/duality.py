@@ -232,15 +232,9 @@ def _span_lp_value(model, data_moments, phi, div, support) -> float:
     k = phi.shape[1]
     # variables: a (k), e (n); maximize data_moments @ a - model.weights @ e
     cost_vec = np.concatenate([-data_moments, model.weights])
-    A_ub = np.zeros((n * m, k + n))
-    b_ub = np.zeros(n * m)
-    row = 0
-    for i in range(n):
-        for j in range(m):
-            A_ub[row, :k] = phi[j]
-            A_ub[row, k + i] = -1.0
-            b_ub[row] = C[i, j]
-            row += 1
+    # row i * m + j: phi[j] @ a - e_i <= C[i, j]
+    A_ub = np.hstack([np.tile(phi, (n, 1)), -np.repeat(np.eye(n), m, axis=0)])
+    b_ub = C.ravel()
     bounds = [(None, None)] * (k + n)
     res = linprog(cost_vec, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status == 3:
@@ -415,12 +409,9 @@ def moment_projection(
         # transport cost with moment constraints is itself a linear program
         C = div.cost.matrix(model.points, support)
         n = model.size
-        A_rows = np.zeros((n, n * m))
-        for i in range(n):
-            A_rows[i, i * m : (i + 1) * m] = 1.0
-        A_mom = np.zeros((len(features), n * m))
-        for j in range(len(features)):
-            A_mom[j] = np.tile(phi[:, j], n)
+        # plan rows sum to the model weights; column sums match the target moments
+        A_rows = np.repeat(np.eye(n), m, axis=1)
+        A_mom = np.tile(phi.T, (1, n))
         A = np.vstack([A_rows, A_mom])
         rhs = np.concatenate([model.weights, b])
         res = linprog(C.ravel(), A_eq=A, b_eq=rhs, bounds=[(0, None)] * (n * m), method="highs")

@@ -25,7 +25,8 @@ from ganduality.transport import (
     ot_values_batch,
     transport_simplex,
 )
-from conftest import random_distribution, random_pair, random_witness
+from ganduality.errors import ConvergenceError
+from conftest import distinct_points, random_distribution, random_pair, random_weights, random_witness
 
 
 def linprog_ot(p, q, C):
@@ -292,6 +293,26 @@ class TestTransportSimplex:
             assert np.sum(M * C) == pytest.approx(
                 float(P.weights @ alpha + Q.weights @ beta), abs=1e-9
             )
+
+    def test_exact_on_degenerate_instances(self, rng):
+        # supports sharing half their atoms give zero-cost cells and ties;
+        # the plan and duals must be optimal to rounding, not to a 1e-7 tolerance
+        for _ in range(40):
+            n, m = (int(k) for k in rng.integers(24, 37, 2))
+            P = random_distribution(rng, n, dim=2)
+            pts = np.vstack([P.points[: min(n, m) // 2], distinct_points(rng, m - min(n, m) // 2, 2)])
+            Q = FiniteDistribution(pts, random_weights(rng, m))
+            C = cost_norm().matrix(P.points, Q.points)
+            M, alpha, beta = transport_simplex(P.weights, Q.weights, C)
+            assert np.min(C - alpha[:, None] - beta[None, :]) >= -1e-12
+            assert np.sum(M * C) == pytest.approx(float(P.weights @ alpha + Q.weights @ beta), abs=1e-12)
+
+    def test_uncouplable_marginals_raise(self, rng):
+        P = random_distribution(rng, 4)
+        Q = random_distribution(rng, 5)
+        C = cost_norm().matrix(P.points, Q.points)
+        with pytest.raises(ConvergenceError):
+            transport_simplex(P.weights, 0.9 * Q.weights, C)
 
 
 class TestOptimalPotential:
