@@ -25,8 +25,6 @@ from .errors import DomainError, InvariantViolation
 
 MERGE_TOL = 1e-9
 WEIGHT_TOL = 1e-12
-# below this many point-atom pairs, testing every pair beats building k-d trees
-_ALL_PAIRS_MAX = 1024
 
 
 def as_points(points) -> np.ndarray:
@@ -51,20 +49,16 @@ def find_atom(support: np.ndarray, point: np.ndarray) -> int:
 def match_atoms(support: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Lowest index of a ``support`` atom within MERGE_TOL of each row of ``points``, or -1.
 
-    Candidate pairs are all pairs for small inputs, and otherwise the pairs a
-    k-d tree finds within twice the tolerance; each candidate is decided by
-    the same norm test as ``find_atom``.
+    Candidate pairs are those two k-d trees find within twice the tolerance;
+    each candidate is decided by the same norm test as ``find_atom``.
     """
     support, points = np.asarray(support, dtype=float), np.asarray(points, dtype=float)
     n = len(support)
     first = np.full(len(points), n)
-    if len(points) * n <= _ALL_PAIRS_MAX:
-        qi, sj = np.divmod(np.arange(len(points) * n), n)
-    else:
-        pairs = cKDTree(points).sparse_distance_matrix(
-            cKDTree(support), 2 * MERGE_TOL, output_type="ndarray"
-        )
-        qi, sj = pairs["i"], pairs["j"]
+    pairs = cKDTree(points).sparse_distance_matrix(
+        cKDTree(support), 2 * MERGE_TOL, output_type="ndarray"
+    )
+    qi, sj = pairs["i"], pairs["j"]
     hit = np.linalg.norm(support[sj] - points[qi], axis=1) <= MERGE_TOL
     np.minimum.at(first, qi[hit], sj[hit])
     first[first == n] = -1

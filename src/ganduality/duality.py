@@ -202,13 +202,14 @@ def _conjugate_with_argmax(model, D, div, support) -> tuple[float, np.ndarray]:
     """Divergence conjugate and its maximizing distribution on the support."""
     if isinstance(div, FDivergence):
         gen = div.gen
-        d = D.values_on(model.points)
+        idx = atom_indices(support, model.points)
+        d = D.values[idx]
         lam = conjugate_shift_weights(model.weights, d, gen)
         with np.errstate(over="ignore"):
             conj = float(model.weights @ gen.conjugate(d + lam) - lam)
             q_on_model = model.weights * gen.conjugate_deriv(d + lam)
         q_star = np.zeros(len(support))
-        q_star[atom_indices(support, model.points)] = q_on_model
+        q_star[idx] = q_on_model
         return conj, q_star
     if isinstance(div, OTDivergence):
         C = div.cost.matrix(model.points, support)

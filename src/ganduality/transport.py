@@ -116,10 +116,11 @@ def transport_simplex(
     One ``linprog(method="highs")`` call over the sparse marginal
     constraints. HiGHS presolve is off, since on these LPs it only added
     time, and its feasibility tolerances sit at their floor of 1e-10: at the
-    default 1e-7 the plan's cost could end 1e-8 above the optimum. The duals are the equality marginals, gauged so that the first row dual
-    is zero. Identical inputs give identical plans. Raises ConvergenceError
-    when HiGHS ends without an optimal plan, for example when the two
-    marginals carry different mass.
+    default 1e-7 the plan's cost could end 1e-8 above the optimum. The duals
+    are the equality marginals, gauged so that the first row dual is zero.
+    Identical inputs give identical plans. Raises ConvergenceError when
+    HiGHS ends without an optimal plan, for example when the two marginals
+    carry different mass.
     """
     n, m = len(p), len(q)
     if C.shape != (n, m):

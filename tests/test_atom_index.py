@@ -28,6 +28,9 @@ from ganduality.errors import DomainError, InvariantViolation
 # inside and just outside the tolerance, and half steps that build chains
 OFFSETS = (0.0, 0.5, -0.5, 1 - 1e-6, -(1 - 1e-6), 1 + 1e-6, -(1 + 1e-6), 1.5)
 
+# the same examples on every run and checkout: seeded from each test, no saved database
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
 
 def ref_merge_points(points, weights):
     reps = []
@@ -117,7 +120,7 @@ def draw(case):
     return rng, pts
 
 
-@settings(max_examples=60, deadline=None)
+@settings(DETERMINISTIC, max_examples=60)
 @given(cases)
 def test_merge_points_matches_loop(case):
     rng, pts = draw(case)
@@ -128,7 +131,7 @@ def test_merge_points_matches_loop(case):
     assert np.array_equal(got_w, ref_w)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(DETERMINISTIC, max_examples=60)
 @given(cases, st.integers(1, 4))
 def test_merge_supports_matches_loop(case, parts):
     rng, pts = draw(case)
@@ -137,7 +140,7 @@ def test_merge_supports_matches_loop(case, parts):
     assert np.array_equal(merge_supports(*supports), ref_merge_supports(*supports))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(DETERMINISTIC, max_examples=60)
 @given(cases)
 def test_weights_on_and_indices_match_loop(case):
     rng, pts = draw(case)
@@ -160,7 +163,7 @@ def test_weights_on_and_indices_match_loop(case):
         assert np.array_equal(atom_indices(partial, P.points), ref_atom_indices(partial, P.points))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(DETERMINISTIC, max_examples=60)
 @given(cases)
 def test_match_atoms_is_the_lowest_find_atom_hit(case):
     rng, pts = draw(case)
@@ -169,7 +172,7 @@ def test_match_atoms_is_the_lowest_find_atom_hit(case):
     assert match_atoms(support, pts).tolist() == expected
 
 
-@settings(max_examples=60, deadline=None)
+@settings(DETERMINISTIC, max_examples=60)
 @given(cases)
 def test_pairwise_check_matches_loop(case):
     rng, pts = draw(case)
@@ -220,7 +223,7 @@ def test_zero_weights_merge_then_drop():
     assert P.points.tolist() == [[1.0]]
 
 
-@settings(max_examples=4, deadline=None)
+@settings(DETERMINISTIC, max_examples=4)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_large_supports_match_loop(seed, dim):
     rng = np.random.default_rng(seed)
